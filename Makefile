@@ -82,13 +82,13 @@ bench-smoke:
 	go run ./cmd/tnbench -smoke -o "$$(mktemp)"
 
 # Serving-plane sweep: concurrent paced sessions x aggregate ticks/sec x
-# p99 command latency, pooled timing-wheel scheduler vs the legacy
-# goroutine-per-session arm; writes BENCH_SERVE_<date>.json at the repo
-# root — the capacity evidence file for the batched scheduler.
+# p99 command latency on the pooled timing-wheel scheduler; writes
+# BENCH_SERVE_<date>.json at the repo root — the capacity evidence file
+# for the session servicer.
 bench-serve:
 	go run ./cmd/tnbench -serve
 
-# Small serving sweep: both arms, two tiny points, sub-second windows —
+# Small serving sweep: two tiny points, sub-second windows —
 # proves the serving harness and report schema without capacity claims.
 bench-serve-smoke:
 	go run ./cmd/tnbench -serve -smoke -o "$$(mktemp)"

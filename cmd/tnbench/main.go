@@ -10,8 +10,8 @@
 //
 // With -serve it instead measures the serving plane: how many
 // concurrently paced sessions one process holds at rate on the pooled
-// timing-wheel scheduler versus the legacy goroutine-per-session shape,
-// with p99 command latency — written to BENCH_SERVE_<date>.json.
+// timing-wheel scheduler, with p99 command latency — written to
+// BENCH_SERVE_<date>.json.
 //
 // Usage:
 //
@@ -40,17 +40,17 @@ func main() {
 		sessions  = flag.String("sessions", "", "-serve: comma-separated session counts, ascending (empty: configuration default)")
 		rate      = flag.Float64("rate", 0, "-serve: per-session paced rate in Hz (0: configuration default)")
 		window    = flag.Duration("window", 0, "-serve: measured window per point (0: configuration default)")
-		grid    = flag.Int("grid", 0, "core mesh edge N for an N×N grid (0: configuration default)")
-		rates   = flag.String("rates", "", "comma-separated firing rates in Hz (empty: configuration default)")
-		syns    = flag.String("syns", "", "comma-separated synapse counts per neuron (empty: configuration default)")
-		driven  = flag.Float64("driven", -1, "fraction of event-driven relay neurons, 0..1 (-1: configuration default)")
-		settle  = flag.Int("settle", -1, "settling ticks before measurement (-1: configuration default)")
-		measure = flag.Int("measure", -1, "measured ticks per arm (-1: configuration default)")
-		workers = flag.Int("workers", 0, "compass worker count (0: configuration default)")
-		seed    = flag.Int64("seed", 0, "network construction seed (0: configuration default)")
-		smoke   = flag.Bool("smoke", false, "run the small CI smoke configuration")
-		out     = flag.String("o", "", "output path (empty: BENCH_<date>.json in the working directory)")
-		quiet   = flag.Bool("q", false, "suppress per-point progress lines")
+		grid      = flag.Int("grid", 0, "core mesh edge N for an N×N grid (0: configuration default)")
+		rates     = flag.String("rates", "", "comma-separated firing rates in Hz (empty: configuration default)")
+		syns      = flag.String("syns", "", "comma-separated synapse counts per neuron (empty: configuration default)")
+		driven    = flag.Float64("driven", -1, "fraction of event-driven relay neurons, 0..1 (-1: configuration default)")
+		settle    = flag.Int("settle", -1, "settling ticks before measurement (-1: configuration default)")
+		measure   = flag.Int("measure", -1, "measured ticks per arm (-1: configuration default)")
+		workers   = flag.Int("workers", 0, "compass worker count (0: configuration default)")
+		seed      = flag.Int64("seed", 0, "network construction seed (0: configuration default)")
+		smoke     = flag.Bool("smoke", false, "run the small CI smoke configuration")
+		out       = flag.String("o", "", "output path (empty: BENCH_<date>.json in the working directory)")
+		quiet     = flag.Bool("q", false, "suppress per-point progress lines")
 	)
 	flag.Parse()
 
@@ -166,11 +166,8 @@ func runServe(smoke bool, sessions string, rate float64, window time.Duration, w
 	}
 	s := rep.Summary
 	fmt.Printf("wrote %s: %d points at %.0f Hz/session\n", path, len(rep.Points), rep.RateHz)
-	fmt.Printf("sustained sessions at rate: scheduler %d vs goroutine %d (%.1fx)\n",
-		s.SchedulerMaxSessions, s.GoroutineMaxSessions, s.SessionCapacityRatio)
-	fmt.Printf("peak aggregate ticks/sec: scheduler %.3g vs goroutine %.3g (%.1fx); p99 at capacity %.2f ms vs %.2f ms\n",
-		s.SchedulerPeakTicksPerSec, s.GoroutinePeakTicksPerSec, s.ThroughputRatio,
-		s.SchedulerP99AtMaxMs, s.GoroutineP99AtMaxMs)
+	fmt.Printf("sustained sessions at rate: %d; peak aggregate ticks/sec %.3g; p99 at capacity %.2f ms\n",
+		s.SchedulerMaxSessions, s.SchedulerPeakTicksPerSec, s.SchedulerP99AtMaxMs)
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -2,14 +2,9 @@
 // hold at rate, and at what command latency.
 //
 // The unit under test is the session servicer, so the sweep drives
-// internal/runtime directly on two arms over identical workloads:
-//
-//   - "goroutine": the legacy shape — every session owns a goroutine and
-//     a timer, and the Go scheduler multiplexes N timer wakeups per
-//     second per session;
-//   - "scheduler": the pooled shape — one timing-wheel Scheduler steps
-//     every due session from a fixed worker pool, batching sub-quantum
-//     periods into multi-tick dispatches.
+// internal/runtime directly: one timing-wheel Scheduler steps every due
+// session from a fixed worker pool, batching sub-quantum periods into
+// multi-tick dispatches.
 //
 // Each point starts N sessions paced at RateHz (1000 Hz = the biological
 // real-time tick) on a minimal one-core relay model, measures the
@@ -18,15 +13,12 @@
 // when achieved/requested stays at or above Threshold AND command p99
 // stays within MaxCmdP99 — the SLO matters because a behind-schedule
 // paced session sprints to catch up, so throughput alone reads ≈ 1 long
-// past real capacity. Each arm's sweep walks the session axis upward
-// until it fails, so the report ends with the capacity frontier of both
-// arms and their ratio — the acceptance figure for the batched-scheduler
-// refactor.
+// past real capacity. The sweep walks the session axis upward until it
+// fails, so the report ends with the capacity frontier.
 //
 // The model is deliberately quiescent: with the active-neuron kernel a
 // tick of an idle relay core costs almost nothing, so the sweep isolates
-// the pacing machinery itself, which is the only thing the two arms do
-// differently.
+// the pacing machinery itself.
 package bench
 
 import (
@@ -45,13 +37,10 @@ import (
 	"truenorth/internal/sim"
 )
 
-// ServeArms are the servicer configurations, in report order.
-var ServeArms = []string{"goroutine", "scheduler"}
-
 // ServeConfig parameterizes one serving sweep.
 type ServeConfig struct {
-	// Sessions is the ascending session-count axis. Each arm walks it
-	// upward until a point fails to sustain Threshold.
+	// Sessions is the ascending session-count axis, walked upward until a
+	// point fails to sustain Threshold.
 	Sessions []int
 	// RateHz paces every session (1000 = real time).
 	RateHz float64
@@ -65,19 +54,19 @@ type ServeConfig struct {
 	// MaxCmdP99 is the command-latency SLO that completes the sustained
 	// criterion. Mean throughput alone cannot detect overload: a paced
 	// session that falls behind sprints to catch up, so an oversubscribed
-	// arm holds ratio ≈ 1 long past its real capacity while timeliness
+	// point holds ratio ≈ 1 long past real capacity while timeliness
 	// collapses — the latency tail is where saturation first becomes
 	// observable.
 	MaxCmdP99 time.Duration
 	// ProbeEvery is the command-latency probe period.
 	ProbeEvery time.Duration
-	// Workers sizes the scheduler arm's pool (0 = GOMAXPROCS).
+	// Workers sizes the scheduler's pool (0 = GOMAXPROCS).
 	Workers int
 }
 
 // DefaultServeConfig is the full sweep cmd/tnbench -serve runs: a
-// power-of-two session axis from well under to well over a one-core
-// host's per-goroutine capacity, at the real-time rate.
+// power-of-two session axis up to thousands of sessions, at the real-time
+// rate.
 func DefaultServeConfig() ServeConfig {
 	return ServeConfig{
 		Sessions:   []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192},
@@ -90,9 +79,9 @@ func DefaultServeConfig() ServeConfig {
 	}
 }
 
-// ServeSmokeConfig is the CI configuration: two tiny points per arm,
-// sub-second windows, no capacity claims — it exercises both arms, the
-// probe, and the JSON schema.
+// ServeSmokeConfig is the CI configuration: two tiny points, sub-second
+// windows, no capacity claims — it exercises the sweep, the probe, and
+// the JSON schema.
 func ServeSmokeConfig() ServeConfig {
 	return ServeConfig{
 		Sessions:   []int{2, 8},
@@ -135,10 +124,9 @@ func (c ServeConfig) Validate() error {
 	return nil
 }
 
-// ServePoint is one (arm, session count) measurement.
+// ServePoint is one session-count measurement.
 type ServePoint struct {
-	Arm      string `json:"arm"`
-	Sessions int    `json:"sessions"`
+	Sessions int `json:"sessions"`
 	// RequestedTicksPerSec is Sessions × RateHz; AchievedTicksPerSec is
 	// the aggregate tick throughput observed over the window.
 	RequestedTicksPerSec float64 `json:"requested_ticks_per_sec"`
@@ -153,25 +141,23 @@ type ServePoint struct {
 	ProbeTimeouts int     `json:"probe_timeouts"`
 }
 
-// ServeSummary condenses the sweep into the acceptance figures.
+// ServeSummary condenses the sweep into its capacity figures. The field
+// names match the scheduler half of schema-1 reports.
 type ServeSummary struct {
-	// GoroutineMaxSessions / SchedulerMaxSessions are each arm's largest
-	// sustained point on the session axis (0 = none sustained).
-	GoroutineMaxSessions int `json:"goroutine_max_sessions"`
+	// SchedulerMaxSessions is the largest sustained point on the session
+	// axis (0 = none sustained).
 	SchedulerMaxSessions int `json:"scheduler_max_sessions"`
-	// SessionCapacityRatio is scheduler over goroutine — the refactor's
-	// headline figure (≥5 is the acceptance gate).
-	SessionCapacityRatio float64 `json:"session_capacity_ratio"`
-	// Peak aggregate achieved ticks/sec per arm, across all its points.
-	GoroutinePeakTicksPerSec float64 `json:"goroutine_peak_ticks_per_sec"`
+	// SchedulerPeakTicksPerSec is the peak aggregate achieved ticks/sec
+	// across all points.
 	SchedulerPeakTicksPerSec float64 `json:"scheduler_peak_ticks_per_sec"`
-	ThroughputRatio          float64 `json:"throughput_ratio"`
-	// P99 command latency at each arm's largest sustained point.
-	GoroutineP99AtMaxMs float64 `json:"goroutine_p99_at_max_ms"`
+	// SchedulerP99AtMaxMs is the p99 command latency at the largest
+	// sustained point.
 	SchedulerP99AtMaxMs float64 `json:"scheduler_p99_at_max_ms"`
 }
 
-// ServeReport is the schema of BENCH_SERVE_<date>.json.
+// ServeReport is the schema of BENCH_SERVE_<date>.json. Schema 1 also
+// carried a goroutine-per-session arm; schema 2 measures the scheduler
+// only.
 type ServeReport struct {
 	SchemaVersion int          `json:"schema_version"`
 	GeneratedAt   string       `json:"generated_at"`
@@ -207,43 +193,24 @@ func serveModel() []*core.Config {
 	return []*core.Config{c}
 }
 
-// measureServePoint runs one (arm, N) point: N paced sessions held at
-// rate for the window, with the latency probe running throughout.
-func (c ServeConfig) measureServePoint(arm string, n int) (ServePoint, error) {
+// measureServePoint runs one point: n paced sessions held at rate for the
+// window, with the latency probe running throughout.
+func (c ServeConfig) measureServePoint(n int) (ServePoint, error) {
 	pt := ServePoint{
-		Arm:                  arm,
 		Sessions:             n,
 		RequestedTicksPerSec: float64(n) * c.RateHz,
 	}
-	var sched *rt.Scheduler
-	if arm == "scheduler" {
-		sched = rt.NewScheduler(rt.SchedulerConfig{Workers: c.Workers, MaxSessions: n})
-		defer sched.Close()
-	} else if arm != "goroutine" {
-		return pt, fmt.Errorf("bench: unknown serve arm %q", arm)
-	}
+	sched := rt.NewScheduler(rt.SchedulerConfig{Workers: c.Workers, MaxSessions: n})
+	defer sched.Close() // also closes every session registered on it
 
 	sessions := make([]*rt.Session, 0, n)
-	defer func() {
-		// The scheduler arm's sessions die with sched.Close (deferred
-		// above); legacy sessions each need their own Close.
-		if sched == nil {
-			for _, s := range sessions {
-				s.Close() //nolint:errcheck // teardown of a measured arm
-			}
-		}
-	}()
 	cfgs := serveModel()
 	for i := 0; i < n; i++ {
 		eng, err := sim.NewEngine("chip", router.Mesh{W: 1, H: 1}, cfgs)
 		if err != nil {
 			return pt, err
 		}
-		opts := []rt.Option{rt.WithTickRate(c.RateHz)}
-		if sched != nil {
-			opts = append(opts, rt.WithScheduler(sched))
-		}
-		s, err := rt.New(eng, opts...)
+		s, err := rt.New(eng, rt.WithTickRate(c.RateHz), rt.WithScheduler(sched))
 		if err != nil {
 			return pt, err
 		}
@@ -291,7 +258,7 @@ func (c ServeConfig) measureServePoint(arm string, n int) (ServePoint, error) {
 	// intervals. Each snapshot is timestamped individually because on a
 	// saturated host the snapshot passes themselves take real time —
 	// dividing every delta by the nominal window would book ticks accrued
-	// during a slow pass as window throughput and overstate a failing arm.
+	// during a slow pass as window throughput and overstate a failing point.
 	// The passes issue every Stats concurrently: on an oversubscribed
 	// point a command waits up to a full ready-queue rotation, so a
 	// sequential pass would cost N rotations — hours at the axis top —
@@ -363,9 +330,9 @@ func percentile(samples []float64, p float64) float64 {
 	return s[int(p*float64(len(s)-1)+0.5)]
 }
 
-// RunServe executes the serving sweep and assembles the report. Each arm
-// walks the session axis upward until its first unsustained point (which
-// is still recorded — it pins where and how the arm fails).
+// RunServe executes the serving sweep and assembles the report. It walks
+// the session axis upward until the first unsustained point (which is
+// still recorded — it pins where and how the servicer fails).
 func RunServe(cfg ServeConfig, logf func(format string, args ...any)) (*ServeReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -375,7 +342,7 @@ func RunServe(cfg ServeConfig, logf func(format string, args ...any)) (*ServeRep
 		workers = runtime.GOMAXPROCS(0)
 	}
 	rep := &ServeReport{
-		SchemaVersion: 1,
+		SchemaVersion: 2,
 		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
@@ -388,55 +355,36 @@ func RunServe(cfg ServeConfig, logf func(format string, args ...any)) (*ServeRep
 		Threshold:     cfg.Threshold,
 		MaxCmdP99Ms:   cfg.MaxCmdP99.Seconds() * 1e3,
 	}
-	for _, arm := range ServeArms {
-		for _, n := range cfg.Sessions {
-			pt, err := cfg.measureServePoint(arm, n)
-			if err != nil {
-				return nil, fmt.Errorf("bench: serve %s × %d sessions: %w", arm, n, err)
-			}
-			rep.Points = append(rep.Points, pt)
-			if logf != nil {
-				logf("%-9s %5d sessions: %9.0f/%9.0f ticks/s (%.2f), p99 %6.2f ms%s",
-					arm, n, pt.AchievedTicksPerSec, pt.RequestedTicksPerSec, pt.Ratio,
-					pt.CmdP99Ms, map[bool]string{true: "", false: "  [not sustained]"}[pt.Sustained])
-			}
-			if !pt.Sustained {
-				break // the capacity frontier for this arm
-			}
+	for _, n := range cfg.Sessions {
+		pt, err := cfg.measureServePoint(n)
+		if err != nil {
+			return nil, fmt.Errorf("bench: serve %d sessions: %w", n, err)
+		}
+		rep.Points = append(rep.Points, pt)
+		if logf != nil {
+			logf("%5d sessions: %9.0f/%9.0f ticks/s (%.2f), p99 %6.2f ms%s",
+				n, pt.AchievedTicksPerSec, pt.RequestedTicksPerSec, pt.Ratio,
+				pt.CmdP99Ms, map[bool]string{true: "", false: "  [not sustained]"}[pt.Sustained])
+		}
+		if !pt.Sustained {
+			break // the capacity frontier
 		}
 	}
 	rep.Summary = summarizeServe(rep.Points)
 	return rep, nil
 }
 
-// summarizeServe computes the acceptance figures from the measured points.
+// summarizeServe computes the capacity figures from the measured points.
 func summarizeServe(pts []ServePoint) ServeSummary {
 	var s ServeSummary
 	for _, pt := range pts {
-		switch pt.Arm {
-		case "goroutine":
-			if pt.Sustained && pt.Sessions > s.GoroutineMaxSessions {
-				s.GoroutineMaxSessions = pt.Sessions
-				s.GoroutineP99AtMaxMs = pt.CmdP99Ms
-			}
-			if pt.AchievedTicksPerSec > s.GoroutinePeakTicksPerSec {
-				s.GoroutinePeakTicksPerSec = pt.AchievedTicksPerSec
-			}
-		case "scheduler":
-			if pt.Sustained && pt.Sessions > s.SchedulerMaxSessions {
-				s.SchedulerMaxSessions = pt.Sessions
-				s.SchedulerP99AtMaxMs = pt.CmdP99Ms
-			}
-			if pt.AchievedTicksPerSec > s.SchedulerPeakTicksPerSec {
-				s.SchedulerPeakTicksPerSec = pt.AchievedTicksPerSec
-			}
+		if pt.Sustained && pt.Sessions > s.SchedulerMaxSessions {
+			s.SchedulerMaxSessions = pt.Sessions
+			s.SchedulerP99AtMaxMs = pt.CmdP99Ms
 		}
-	}
-	if s.GoroutineMaxSessions > 0 {
-		s.SessionCapacityRatio = float64(s.SchedulerMaxSessions) / float64(s.GoroutineMaxSessions)
-	}
-	if s.GoroutinePeakTicksPerSec > 0 {
-		s.ThroughputRatio = s.SchedulerPeakTicksPerSec / s.GoroutinePeakTicksPerSec
+		if pt.AchievedTicksPerSec > s.SchedulerPeakTicksPerSec {
+			s.SchedulerPeakTicksPerSec = pt.AchievedTicksPerSec
+		}
 	}
 	return s
 }

@@ -2,12 +2,15 @@ package model
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"testing"
 
 	"truenorth/internal/chip"
+	"truenorth/internal/core"
 	"truenorth/internal/netgen"
 	"truenorth/internal/router"
+	"truenorth/internal/sim"
 )
 
 // smallModelBytes serializes a one-populated-core model, small enough to
@@ -114,32 +117,95 @@ func TestReadModelCorruptBody(t *testing.T) {
 	}
 }
 
-// TestReadCheckpointTruncatedEverywhere is the checkpoint-side analogue.
-func TestReadCheckpointTruncatedEverywhere(t *testing.T) {
+// checkpointFixture returns a constructor for the 2×2 test engine (fresh,
+// at tick 0) and a checkpoint of that engine taken at tick 20.
+func checkpointFixture(tb testing.TB) (func() *chip.Model, []byte) {
+	tb.Helper()
 	mesh := router.Mesh{W: 2, H: 2}
 	configs, err := netgen.Build(netgen.Params{Grid: mesh, RateHz: 50, SynPerNeuron: 40, Seed: 3})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	eng, err := chip.New(mesh, configs)
-	if err != nil {
-		t.Fatal(err)
+	fresh := func() *chip.Model {
+		eng, err := chip.New(mesh, configs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return eng
 	}
+	eng := fresh()
 	eng.Run(20)
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, eng); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	full := buf.Bytes()
+	return fresh, buf.Bytes()
+}
+
+// engineDigest fingerprints everything ReadCheckpoint may write: the
+// tick, the NoC statistics, and every populated core's SaveState.
+func engineDigest(eng CheckpointableEngine) [sha256.Size]byte {
+	h := sha256.New()
+	noc := eng.NoC()
+	binary.Write(h, binary.LittleEndian, eng.Tick()) //nolint:errcheck // hash.Hash never fails
+	binary.Write(h, binary.LittleEndian, &noc)       //nolint:errcheck // hash.Hash never fails
+	for _, c := range eng.Cores() {
+		if c != nil {
+			st := c.SaveState()
+			binary.Write(h, binary.LittleEndian, &st) //nolint:errcheck // hash.Hash never fails
+		}
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
+}
+
+// TestReadCheckpointTruncatedEverywhere is the checkpoint-side analogue,
+// and pins the restore's atomicity: the engine has moved on past the
+// checkpoint, so a prefix that rewound even one core before failing would
+// change its digest.
+func TestReadCheckpointTruncatedEverywhere(t *testing.T) {
+	fresh, full := checkpointFixture(t)
+	eng := fresh()
+	eng.Run(30)
+	tick, before := eng.Tick(), engineDigest(eng)
 	for cut := 0; cut < len(full); cut++ {
 		if err := ReadCheckpoint(bytes.NewReader(full[:cut]), eng); err == nil {
 			t.Fatalf("truncation at byte %d of %d accepted", cut, len(full))
 		}
+		if eng.Tick() != tick || engineDigest(eng) != before {
+			t.Fatalf("truncation at byte %d of %d was rejected but changed the engine (tick %d, was %d)",
+				cut, len(full), eng.Tick(), tick)
+		}
 	}
-	// The truncation sweep leaves the engine with partially restored state;
-	// a full restore must still succeed afterwards.
 	if err := ReadCheckpoint(bytes.NewReader(full), eng); err != nil {
 		t.Fatalf("full checkpoint rejected after sweep: %v", err)
+	}
+	if eng.Tick() != 20 {
+		t.Fatalf("restored tick = %d, want 20", eng.Tick())
+	}
+}
+
+// TestReadCheckpointDuplicateCore rejects a checkpoint that lists one core
+// twice and omits another: the populated count matches, but the engine
+// would be left with a core the snapshot never described.
+func TestReadCheckpointDuplicateCore(t *testing.T) {
+	fresh, full := checkpointFixture(t)
+	// Layout: magic, tick, NoC, count, then count × (index, state).
+	head := len(checkpointMagic) + 8 + binary.Size(sim.NoCStats{}) + 4
+	entry := 4 + binary.Size(core.State{})
+	if len(full) != head+4*entry {
+		t.Fatalf("checkpoint is %d bytes, want %d", len(full), head+4*entry)
+	}
+	dup := append([]byte(nil), full...)
+	copy(dup[head+entry:head+2*entry], full[head:head+entry]) // core 0 twice, core 1 never
+	eng := fresh()
+	before := engineDigest(eng)
+	if err := ReadCheckpoint(bytes.NewReader(dup), eng); err == nil {
+		t.Fatal("checkpoint with a duplicated core accepted")
+	}
+	if engineDigest(eng) != before {
+		t.Fatal("rejected checkpoint changed the engine")
 	}
 }
 
@@ -164,6 +230,28 @@ func TestReadCheckpointHostileCounts(t *testing.T) {
 	if err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), eng); err == nil {
 		t.Fatal("hostile checkpoint accepted")
 	}
+}
+
+// FuzzReadCheckpoint asserts the checkpoint reader's safety contract on
+// arbitrary bytes: it errors, never panics, and an input it rejects leaves
+// the engine's tick and every core's state exactly as they were.
+func FuzzReadCheckpoint(f *testing.F) {
+	fresh, valid := checkpointFixture(f)
+	f.Add(valid)
+	entry := 4 + binary.Size(core.State{})
+	for _, cut := range []int{0, 7, 15, len(valid) - 3*entry - 10, len(valid) - 2*entry - 100, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		eng := fresh()
+		tick, before := eng.Tick(), engineDigest(eng)
+		if err := ReadCheckpoint(bytes.NewReader(data), eng); err == nil {
+			return
+		}
+		if eng.Tick() != tick || engineDigest(eng) != before {
+			t.Fatalf("rejected checkpoint changed the engine (tick %d, was %d)", eng.Tick(), tick)
+		}
+	})
 }
 
 // FuzzReadModel asserts the deserializer's safety contract on arbitrary

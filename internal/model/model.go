@@ -388,7 +388,9 @@ func WriteCheckpoint(w io.Writer, eng CheckpointableEngine) error {
 // ReadCheckpoint resumes eng (already constructed with the same model)
 // from a snapshot. The engine's clock, NoC statistics, and per-core states
 // are restored; subsequent Steps continue bit-exactly — on either engine
-// expression.
+// expression. The restore is atomic: the whole snapshot is decoded and
+// validated (every populated core exactly once) before anything is
+// applied, so a rejected checkpoint leaves eng untouched.
 func ReadCheckpoint(r io.Reader, eng CheckpointableEngine) error {
 	br := bufio.NewReader(r)
 	var magic [7]byte
@@ -411,8 +413,22 @@ func ReadCheckpoint(r io.Reader, eng CheckpointableEngine) error {
 		return err
 	}
 	cores := eng.Cores()
-	seen := uint32(0)
-	for k := uint32(0); k < populated; k++ {
+	want := 0
+	for _, c := range cores {
+		if c != nil {
+			want++
+		}
+	}
+	if int(populated) != want {
+		return fmt.Errorf("checkpoint: %d core states for %d populated cores", populated, want)
+	}
+	type staged struct {
+		idx uint32
+		st  core.State
+	}
+	states := make([]staged, populated)
+	seen := make([]bool, len(cores))
+	for k := range states {
 		var idx uint32
 		if err := binary.Read(br, binary.LittleEndian, &idx); err != nil {
 			return err
@@ -420,15 +436,17 @@ func ReadCheckpoint(r io.Reader, eng CheckpointableEngine) error {
 		if int(idx) >= len(cores) || cores[idx] == nil {
 			return fmt.Errorf("checkpoint: state for absent core %d", idx)
 		}
-		var st core.State
-		if err := binary.Read(br, binary.LittleEndian, &st); err != nil {
+		if seen[idx] {
+			return fmt.Errorf("checkpoint: duplicate state for core %d", idx)
+		}
+		seen[idx] = true
+		states[k].idx = idx
+		if err := binary.Read(br, binary.LittleEndian, &states[k].st); err != nil {
 			return err
 		}
-		cores[idx].RestoreState(st)
-		seen++
 	}
-	if seen != populated {
-		return fmt.Errorf("checkpoint: restored %d of %d cores", seen, populated)
+	for _, s := range states {
+		cores[s.idx].RestoreState(s.st)
 	}
 	eng.SetNoC(noc)
 	eng.SetClock(tick)

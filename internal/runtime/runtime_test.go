@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -40,20 +39,8 @@ func relayEngine(t *testing.T) sim.Engine {
 	return eng
 }
 
-// schedMode reruns every newSession-based test through a pooled Scheduler
-// instead of the legacy per-session goroutine. The two servicers promise
-// identical observable semantics, so the whole behavioral suite doubles as
-// scheduler coverage: scripts/race_stress.sh runs the package once more
-// with TN_RUNTIME_SCHED=1.
-var schedMode = os.Getenv("TN_RUNTIME_SCHED") == "1"
-
 func newSession(t *testing.T, opts ...rt.Option) *rt.Session {
 	t.Helper()
-	if schedMode {
-		d := rt.NewScheduler(rt.SchedulerConfig{})
-		t.Cleanup(d.Close)
-		opts = append(opts[:len(opts):len(opts)], rt.WithScheduler(d))
-	}
 	s, err := rt.New(relayEngine(t), opts...)
 	if err != nil {
 		t.Fatal(err)

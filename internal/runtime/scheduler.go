@@ -1,8 +1,8 @@
-// Scheduler: a shared many-session dispatcher. PR 3 gave every Session a
-// dedicated goroutine plus a pacing timer; that shape drowns in scheduler
-// and timer churn once a host carries thousands of mostly-small paced sims
-// — the dominant serving workload in the paper's operating space, where a
-// real-time session ticks at just 1 kHz and each tick costs microseconds.
+// Scheduler: the session servicer. A dedicated goroutine plus a pacing
+// timer per session drowns in Go-scheduler and timer churn once a host
+// carries thousands of mostly-small paced sims — the dominant serving
+// workload in the paper's operating space, where a real-time session
+// ticks at just 1 kHz and each tick costs microseconds.
 // Compass scales the other way: a fixed worker set batching many cores'
 // worth of work per thread. The Scheduler brings that shape to sessions:
 //
@@ -14,12 +14,11 @@
 //     a per-dispatch budget — before parking it back on the wheel;
 //   - sessions paced finer than the pacing quantum are woken once per
 //     quantum and step the whole quantum's ticks in one dispatch, so a
-//     1 kHz session costs ~200 wakeups/s instead of 1000.
+//     1 kHz session costs ~50 wakeups/s instead of 1000.
 //
-// Session semantics are unchanged: a session is still serviced by exactly
-// one goroutine at a time (the state machine below guarantees it), so the
-// engine remains single-threaded and commands still land only between
-// ticks. Free-run sessions cannot starve paced ones: they step a bounded
+// A session is serviced by exactly one goroutine at a time (the state
+// machine below guarantees it), so the engine stays single-threaded and
+// commands land only between ticks. Free-run sessions cannot starve paced ones: they step a bounded
 // quantum per dispatch and requeue at the tail.
 //
 // Admission control bounds the load a scheduler accepts: a session count
@@ -387,10 +386,7 @@ func (d *Scheduler) dispatch(s *Session) {
 		d.unregister(s, s.rateHz)
 		// The Dead state is terminal and reached by exactly one dispatch
 		// (workers hold exclusive Running ownership), so this is the only
-		// closer a scheduler-mode session ever has; the legacy loop and
-		// New's registration-failure path belong to sessions that never
-		// reach dispatch at all.
-		//lint:ignore tnlint/chanflow exactly one closer exists per session: the failed-New path, the legacy loop, or this dispatch — selected once at construction
+		// closer of done.
 		close(s.done)
 		return
 	}
@@ -570,8 +566,8 @@ func (s *Session) hasPending() bool {
 }
 
 // drainPending executes every queued command and delivers every pending
-// streamed input, exactly as the legacy loop's idle select would, until
-// both sources are empty.
+// streamed input, in arrival order per source, until both sources are
+// empty.
 func (s *Session) drainPending() {
 	for {
 		progress := false
@@ -595,9 +591,8 @@ func (s *Session) drainPending() {
 }
 
 // watchInputs moves streamed Inputs() events into the pending buffer and
-// wakes the session. It is started lazily by the first Inputs() call in
-// scheduler mode (legacy sessions receive from s.inputs directly in their
-// loop) and exits when the session closes.
+// wakes the session. It is started lazily by the first Inputs() call and
+// exits when the session closes.
 func (s *Session) watchInputs() {
 	for {
 		select {
@@ -612,9 +607,9 @@ func (s *Session) watchInputs() {
 	}
 }
 
-// shutdownScheduled is the scheduler-mode twin of the legacy loop's exit
-// path: fail waiters with ErrClosed and release subscribers.
-func (s *Session) shutdownScheduled() {
+// shutdown is a closing session's last service pass: fail waiters with
+// ErrClosed and release subscribers.
+func (s *Session) shutdown() {
 	s.finishRun(ErrClosed)
 	for _, sub := range s.subs {
 		//lint:ignore tnlint/chanflow all close sites of sub.ch are serialized on the session's single servicer (workers hold exclusive Running state; do routes cancel through the same servicer) and are exclusive with the step-path send
@@ -635,7 +630,7 @@ func (s *Session) service(now time.Time) disposition {
 	for {
 		s.drainPending()
 		if s.closing {
-			s.shutdownScheduled()
+			s.shutdown()
 			return disposition{kind: dispDead, ticks: stepped}
 		}
 		if !s.running {
@@ -664,7 +659,7 @@ func (s *Session) service(now time.Time) disposition {
 			return disposition{kind: dispAgain, ticks: stepped}
 		}
 		// Paced: step every tick due by the wall clock, advancing the
-		// deadline one period per tick exactly as the legacy loop does.
+		// deadline one period per tick.
 		period := time.Duration(float64(time.Second) / s.rateHz)
 		if s.deadline.IsZero() {
 			s.deadline = now

@@ -524,9 +524,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP truenorth_sessions Live simulation sessions.\n")
 	fmt.Fprintf(w, "# TYPE truenorth_sessions gauge\n")
 	fmt.Fprintf(w, "truenorth_sessions %d\n", len(all))
-	if s.sched != nil {
-		writeSchedulerMetrics(w, s.sched.Metrics())
-	}
+	writeSchedulerMetrics(w, s.sched.Metrics())
 	for _, se := range all {
 		st, err := se.sess.Stats(r.Context())
 		if err != nil {

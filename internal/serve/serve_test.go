@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -258,26 +259,23 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
-// TestMaxSessions drives admission control to its session cap in both
-// servicer modes: the refusal is 429 with the saturated code and a
-// Retry-After hint.
+// TestMaxSessions drives admission control to its session cap: the
+// refusal is 429 with the saturated code and a Retry-After hint.
 func TestMaxSessions(t *testing.T) {
 	leakcheck.Check(t)
-	for _, legacy := range []bool{false, true} {
-		ts := newTestServer(t, serve.Config{MaxSessions: 1, LegacySessions: legacy})
-		if st := call(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(1)}, nil); st != http.StatusCreated {
-			t.Fatalf("legacy=%v: first create = %d", legacy, st)
-		}
-		st, raw, resp := callRaw(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(2)})
-		if st != http.StatusTooManyRequests {
-			t.Fatalf("legacy=%v: second create = %d, want 429 (%s)", legacy, st, raw)
-		}
-		if code := errEnvelope(t, raw); code != "saturated" {
-			t.Fatalf("legacy=%v: code = %q, want saturated", legacy, code)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("legacy=%v: saturated refusal without Retry-After", legacy)
-		}
+	ts := newTestServer(t, serve.Config{MaxSessions: 1})
+	if st := call(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(1)}, nil); st != http.StatusCreated {
+		t.Fatalf("first create = %d", st)
+	}
+	st, raw, resp := callRaw(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(2)})
+	if st != http.StatusTooManyRequests {
+		t.Fatalf("second create = %d, want 429 (%s)", st, raw)
+	}
+	if code := errEnvelope(t, raw); code != "saturated" {
+		t.Fatalf("code = %q, want saturated", code)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("saturated refusal without Retry-After")
 	}
 }
 
@@ -578,6 +576,75 @@ func TestRollingCheckpoint(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK || restored.Tick != 20 {
 		t.Fatalf("restore = %d tick %d (%v), want 200 at tick 20", resp.StatusCode, restored.Tick, err)
+	}
+}
+
+// TestRejectedRestoreLeavesSessionUntouched uploads a checkpoint from an
+// earlier tick, cut inside its second core's state. The refusal must be
+// 400 invalid_request and atomic: the session's tick and every spike it
+// emits afterwards match a twin that never saw the upload.
+func TestRejectedRestoreLeavesSessionUntouched(t *testing.T) {
+	leakcheck.Check(t)
+	ts := newTestServer(t, serve.Config{})
+	var bases [2]string
+	for i := range bases {
+		var info serve.SessionInfo
+		if st := call(t, "POST", ts.URL+"/v1/sessions", serve.CreateRequest{Engine: "chip", Netgen: netgenSpec(1)}, &info); st != http.StatusCreated {
+			t.Fatalf("create = %d", st)
+		}
+		bases[i] = ts.URL + "/v1/sessions/" + info.ID
+	}
+	runBoth := func(ticks int) {
+		for _, base := range bases {
+			if st := call(t, "POST", base+"/run", serve.RunRequest{Ticks: ticks, Wait: true}, nil); st != http.StatusOK {
+				t.Fatalf("run = %d", st)
+			}
+		}
+	}
+	runBoth(60)
+	ckpt := fetchAER(t, bases[0]+"/checkpoint")
+	runBoth(60)
+
+	// Layout: magic, tick, NoC, count, then count × (index, state).
+	head := 7 + 8 + binary.Size(sim.NoCStats{}) + 4
+	entry := 4 + binary.Size(core.State{})
+	cut := head + entry + 4 + binary.Size(core.State{})/2
+	if len(ckpt) != head+16*entry {
+		t.Fatalf("checkpoint is %d bytes, want %d", len(ckpt), head+16*entry)
+	}
+	resp, err := http.Post(bases[0]+"/restore", "application/octet-stream", strings.NewReader(ckpt[:cut]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("truncated restore = %d (%s), want 400", resp.StatusCode, raw)
+	}
+	if code := errEnvelope(t, raw); code != "invalid_request" {
+		t.Fatalf("code = %q, want invalid_request", code)
+	}
+
+	runBoth(40)
+	var infos [2]serve.SessionInfo
+	var streams [2]string
+	for i, base := range bases {
+		if st := call(t, "GET", base, nil, &infos[i]); st != http.StatusOK {
+			t.Fatalf("stats = %d", st)
+		}
+		streams[i] = fetchAER(t, base+"/outputs?format=aer")
+	}
+	if infos[0].Tick != 160 || infos[1].Tick != 160 {
+		t.Fatalf("ticks = %d and %d, want 160", infos[0].Tick, infos[1].Tick)
+	}
+	if streams[1] == "" {
+		t.Fatal("twin emitted no spikes; the assay is vacuous")
+	}
+	if streams[0] != streams[1] {
+		t.Errorf("session diverged from its twin after a rejected restore (%d vs %d bytes)", len(streams[0]), len(streams[1]))
 	}
 }
 

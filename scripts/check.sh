@@ -45,10 +45,9 @@
 #                      chip, forced full scan, compass) whose event counts
 #                      must agree exactly, and the JSON report must land
 #  11. bench-serve smoke — run the serving sweep's small configuration:
-#                      both session-servicer arms (pooled scheduler and
-#                      goroutine-per-session) hold paced sessions at rate
-#                      with the command-latency probe running, and the
-#                      BENCH_SERVE JSON report must land
+#                      the pooled session scheduler holds paced sessions
+#                      at rate with the command-latency probe running, and
+#                      the BENCH_SERVE JSON report must land
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -111,9 +110,6 @@ go test -shuffle=on ./...
 echo "==> go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/..."
 go test -race ./internal/compass/... ./internal/sim/... ./internal/runtime/... ./internal/serve/...
 
-echo "==> go test -race ./internal/runtime/... ./internal/sim/... (TN_RUNTIME_SCHED=1: pooled-scheduler servicer)"
-TN_RUNTIME_SCHED=1 go test -race ./internal/runtime/... ./internal/sim/...
-
 echo "==> allocs gate (per-tick heap budgets)"
 ./scripts/allocs_gate.sh
 
@@ -126,7 +122,7 @@ serve_bench_out=$(mktemp)
 trap 'rm -f "$bench_out" "$serve_bench_out"' EXIT
 go run ./cmd/tnbench -smoke -q -o "$bench_out"
 
-echo "==> bench-serve smoke (tnbench serving sweep, both servicer arms)"
+echo "==> bench-serve smoke (tnbench serving sweep)"
 go run ./cmd/tnbench -serve -smoke -q -o "$serve_bench_out"
 
 echo "==> all checks passed"
